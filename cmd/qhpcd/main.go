@@ -6,8 +6,7 @@
 //
 //	qhpcd [-addr :8080] [-seed 1] [-twin] [-redundant] [-workers 4]
 //	      [-devices 1] [-fleet-policy best-fidelity] [-maintenance-days 0]
-//	      [-pprof-addr localhost:6060] [-engine-stats-every 30s]
-//	      [-snapshot /var/lib/qhpcd/qrm.json]
+//	      [-sim-rate 0] [-pprof-addr localhost:6060]
 //	      [-data-dir /var/lib/qhpcd/store] [-wal-sync group] [-wal-compact-every 1m]
 //	      [-tenant-rate 0] [-tenant-burst 0] [-tenant-queue 0] [-queue-high-water 0]
 //	      [-node-id node-a] [-self-url http://host1:8080] [-peers node-b=http://host2:8080]
@@ -29,13 +28,16 @@
 // With -data-dir the daemon journals every job transition to a crash-durable
 // WAL (docs/DURABILITY.md): kill -9 the process, restart it with the same
 // directory, and accepted jobs come back — terminal ones with their results,
-// queued/running ones re-queued under their original IDs.
+// queued/running ones re-queued under their original IDs. It is the only
+// way a job survives a restart.
 //
 // With -devices N > 1 the daemon serves a simulated multi-QPU fleet: the
 // center's primary QPU plus N-1 heterogeneous siblings (different grid
 // shapes, seeds and drift histories), fronted by the calibration-aware
 // fleet scheduler. Clients pin with ?device= and steer routing with
-// ?policy=; `qhpcctl fleet` shows the roster.
+// ?policy=; `qhpcctl fleet` shows the roster. -maintenance-days and
+// -sim-rate drive that fleet's maintenance clock, so they require -devices > 1.
+// -workers must be at least 1: every daemon runs its dispatch pipeline.
 package main
 
 import (
@@ -67,20 +69,16 @@ func main() {
 	twin := flag.Bool("twin", false, "serve the noiseless digital twin instead of the noisy QPU")
 	redundant := flag.Bool("redundant", true, "redundant power and cooling feeds (lesson 3)")
 	nodes := flag.Int("nodes", 64, "classical cluster node count")
-	workers := flag.Int("workers", 4, "dispatch workers per device (0 = synchronous per-request execution, single-device mode only)")
+	workers := flag.Int("workers", 4, "dispatch workers per device (>= 1)")
 	devices := flag.Int("devices", 1, "fleet size; > 1 serves the multi-QPU fleet scheduler")
 	policyFlag := flag.String("fleet-policy", string(fleet.PolicyBestFidelity),
 		"fleet routing policy: best-fidelity, least-loaded, or round-robin")
 	maintDays := flag.Float64("maintenance-days", 0,
-		"attach staggered maintenance windows every N days to each fleet device (0 = none)")
+		"attach staggered maintenance windows every N days to each fleet device (0 = none; requires -devices > 1)")
 	simRate := flag.Float64("sim-rate", 0,
-		"simulated days per wall-clock second driving the fleet maintenance clock (0 = frozen; defaults to 1 when -maintenance-days is set)")
+		"simulated days per wall-clock second driving the fleet maintenance clock (0 = frozen; defaults to 1 when -maintenance-days is set; requires -devices > 1)")
 	pprofAddr := flag.String("pprof-addr", "",
 		"serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-	engineStatsEvery := flag.Duration("engine-stats-every", 0,
-		"log execution-engine counters (fast path, shot-branching leaves/shot, dist-cache hits) at this interval; 0 = disabled, single-device mode only")
-	snapshotPath := flag.String("snapshot", "",
-		"write the QRM job store to this file on graceful shutdown (single-device mode; restore with LoadSnapshot/RequeueInterrupted tooling)")
 	dataDir := flag.String("data-dir", "",
 		"crash-durable job store directory (WAL + snapshots); on restart the daemon replays it and re-queues interrupted work (empty = in-memory only)")
 	walSync := flag.String("wal-sync", "group",
@@ -106,6 +104,9 @@ func main() {
 	fedDeadAfter := flag.Duration("fed-dead-after", 0,
 		"declare a silent peer dead after this long (default 3x -fed-heartbeat)")
 	flag.Parse()
+	if err := checkFlags(*workers, *devices, *maintDays, *simRate); err != nil {
+		log.Fatalf("qhpcd: %v", err)
+	}
 
 	if *pprofAddr != "" {
 		// The profiling endpoints live on their own listener (the pprof
@@ -174,18 +175,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("qhpcd: %v", err)
 		}
-		w := *workers
-		if w < 1 {
-			w = 4 // fleet devices always run live pools
-		}
-		if *engineStatsEvery > 0 {
-			fmt.Fprintf(os.Stderr, "qhpcd: -engine-stats-every applies to single-device mode only; use GET /api/v1/fleet for per-device counters\n")
-		}
-		if *snapshotPath != "" {
-			log.Fatalf("qhpcd: %s", snapshotFleetRefusal)
-		}
 		f, err := center.BuildFleet(core.FleetConfig{
-			Devices: *devices, WorkersPerDevice: w,
+			Devices: *devices, WorkersPerDevice: *workers,
 			Policy: policy, MaintenanceEveryDays: *maintDays,
 		})
 		if err != nil {
@@ -211,7 +202,7 @@ func main() {
 		fleetSched = f
 		mqssServer = center.FleetRESTHandler(f)
 		fmt.Fprintf(os.Stderr, "qhpcd: fleet of %d devices (%s routing, %d workers each): %v\n",
-			*devices, policy, w, f.Devices())
+			*devices, policy, *workers, f.Devices())
 		fmt.Fprintf(os.Stderr, "qhpcd: fleet endpoints: POST /api/v1/jobs[?device=&policy=], POST /api/v1/jobs/batch[?stream=1&device=&policy=], GET /api/v1/fleet\n")
 		// Maintenance windows live on the simulation clock; a frozen clock
 		// would make -maintenance-days a no-op, so it defaults on.
@@ -248,28 +239,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "qhpcd: recovered %d jobs (%d terminal, %d re-queued, %d expired) from %s\n",
 				rs.Terminal+rs.Requeued+rs.Expired, rs.Terminal, rs.Requeued, rs.Expired, *dataDir)
 		}
-		if *workers > 0 {
-			if err := center.StartPipeline(*workers); err != nil {
-				log.Fatalf("qhpcd: starting dispatch pipeline: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "qhpcd: dispatch pipeline running with %d workers (QPU admission-gated)\n", *workers)
+		if err := center.StartPipeline(*workers); err != nil {
+			log.Fatalf("qhpcd: starting dispatch pipeline: %v", err)
 		}
-		if *engineStatsEvery > 0 {
-			// Operator-visible view of the per-job strategy pick: how many
-			// jobs rode the fast path vs the shot-branching tree, how hard
-			// the tree amortized (leaves/shot), and how often noiseless jobs
-			// skipped simulation entirely. The same counters are in the
-			// /api/v1/metrics JSON; this is the tail -f version.
-			go func(every time.Duration) {
-				for range time.Tick(every) {
-					m := center.QRM.Metrics()
-					fmt.Fprintf(os.Stderr,
-						"qhpcd: engine: compile %d hit/%d miss, fast-path %d jobs (%d dist-cache), branch-tree %d jobs %.3f leaves/shot\n",
-						m.SimCompileHits, m.SimCompileMisses, m.SimFastPathJobs,
-						m.SimDistCacheHits, m.SimBranchTreeJobs, m.BranchLeavesPerShot())
-				}
-			}(*engineStatsEvery)
-		}
+		fmt.Fprintf(os.Stderr, "qhpcd: dispatch pipeline running with %d workers (QPU admission-gated)\n", *workers)
 		mqssServer = center.RESTHandler()
 		drain = center.StopPipeline
 	}
@@ -363,21 +336,7 @@ func main() {
 			log.Printf("qhpcd: shutdown: %v", err)
 		}
 		cancel()
-		if drain != nil {
-			drain()
-		}
-		if *snapshotPath != "" {
-			// Write-on-close durability: after the pipeline has drained, the
-			// job store is quiescent — persist it so restart tooling
-			// (LoadSnapshot + RequeueInterrupted) can pick up where this
-			// process left off. WAL-style continuous persistence stays a
-			// roadmap item; this is the shutdown half.
-			if err := center.QRM.SaveSnapshotFile(*snapshotPath); err != nil {
-				log.Printf("qhpcd: snapshot: %v", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "qhpcd: job store snapshot written to %s\n", *snapshotPath)
-			}
-		}
+		drain()
 		if store != nil {
 			// The backend is quiescent: fold the WAL into one snapshot so the
 			// next start replays a single file, then fsync-close the journal.
@@ -390,4 +349,25 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "qhpcd: drained; bye\n")
 	}
+}
+
+// checkFlags rejects flag combinations that would otherwise be ignored or
+// reinterpreted depending on -devices: every flag means the same thing at
+// any fleet size, or the daemon refuses to start.
+func checkFlags(workers, devices int, maintDays, simRate float64) error {
+	if devices < 1 {
+		return fmt.Errorf("-devices must be at least 1 (got %d)", devices)
+	}
+	if workers < 1 {
+		return fmt.Errorf("-workers must be at least 1 (got %d): every daemon runs its dispatch pipeline", workers)
+	}
+	if devices == 1 {
+		if maintDays != 0 {
+			return fmt.Errorf("-maintenance-days schedules fleet maintenance windows and requires -devices > 1 (got -devices 1)")
+		}
+		if simRate != 0 {
+			return fmt.Errorf("-sim-rate drives the fleet maintenance clock and requires -devices > 1 (got -devices 1)")
+		}
+	}
+	return nil
 }

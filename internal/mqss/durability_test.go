@@ -2,8 +2,10 @@ package mqss
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/fleet"
 	"repro/internal/qdmi"
+	"repro/internal/qrm"
 )
 
 // durableStack builds a fleet server backed by a crash-durable store in
@@ -165,5 +168,109 @@ func TestAdminStoreEndpoint(t *testing.T) {
 	// The local client has no store plumbing — it must say so, not lie.
 	if _, err := NewLocalFleetClient(f2).StoreStatus(ctx); err == nil {
 		t.Error("local client StoreStatus should error")
+	}
+}
+
+// singleDurableStack builds a single-device server over a manager backed by
+// a crash-durable store in dir, restoring whatever a previous incarnation
+// left there: the wiring qhpcd uses for -data-dir at -devices 1.
+func singleDurableStack(t *testing.T, dir string) (*qrm.Manager, *Server, *httptest.Server, *durable.Store, qrm.RestoreStats) {
+	t.Helper()
+	st, opened, err := durable.Open(dir, durable.Options{Sync: durable.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := twinDev(t, "solo", 4, 5, 7)
+	m := qrm.NewManager(dev)
+	m.AttachStore(st)
+	rs, err := m.Restore(opened.QRMJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
+	if err := m.Start(2); err != nil {
+		t.Fatal(err)
+	}
+	server := NewServer(m, dev)
+	server.AttachStore(st, opened.Idem)
+	return m, server, httptest.NewServer(server), st, rs
+}
+
+// v1History fetches the full single-device job history over GET
+// /api/v1/jobs (newest first).
+func v1History(t *testing.T, hs *httptest.Server) []*qrm.Job {
+	t.Helper()
+	resp, err := http.Get(hs.URL + "/api/v1/jobs?limit=100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var page qrm.Page
+	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+		t.Fatal(err)
+	}
+	return page.Jobs
+}
+
+// TestSingleDeviceJobsSurviveRestart covers, over HTTP, the only way a
+// single-device job survives a restart: jobs submitted through v1 and v2
+// are journaled, the node is killed, and the rebooted manager restores
+// them from the WAL. The v1 history must list the same IDs in the same
+// order with their terminal results, and each v2 record must be marked
+// recovered.
+func TestSingleDeviceJobsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	m1, server1, hs1, st1, _ := singleDurableStack(t, dir)
+	for i := 0; i < 3; i++ {
+		resp := postV2(t, hs1, "/api/v1/jobs", qrm.Request{Circuit: circuit.GHZ(3), Shots: 20, User: "v1"}, nil)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("v1 submit status = %d, want 201", resp.StatusCode)
+		}
+		resp.Body.Close()
+		resp = postV2(t, hs1, "/api/v2/jobs?wait=10s", SubmitRequest{Circuit: circuit.GHZ(2), Shots: 20, User: "v2"}, nil)
+		job := decodeV2Job(t, resp.Body)
+		resp.Body.Close()
+		if job.State != StateDone {
+			t.Fatalf("v2 job did not finish before the crash: %+v", job)
+		}
+	}
+	before := v1History(t, hs1)
+	if len(before) != 6 {
+		t.Fatalf("pre-crash history holds %d jobs, want 6", len(before))
+	}
+
+	// kill -9, then reboot from the same directory.
+	st1.Abandon()
+	server1.Close()
+	hs1.Close()
+	m1.Stop()
+	st1.Close()
+	m2, server2, hs2, st2, rs := singleDurableStack(t, dir)
+	defer func() { server2.Close(); hs2.Close(); m2.Stop(); st2.Close() }()
+	if rs.Terminal != 6 || rs.Requeued != 0 || rs.Expired != 0 {
+		t.Fatalf("restore stats %+v, want 6 terminal", rs)
+	}
+
+	after := v1History(t, hs2)
+	if len(after) != len(before) {
+		t.Fatalf("post-restart history holds %d jobs, want %d", len(after), len(before))
+	}
+	for i, j := range after {
+		if j.ID != before[i].ID {
+			t.Fatalf("history[%d] = job %d, want %d (order lost across restart)", i, j.ID, before[i].ID)
+		}
+		if j.Status != qrm.StatusDone || len(j.Counts) == 0 || !reflect.DeepEqual(j.Counts, before[i].Counts) {
+			t.Fatalf("job %d recovered as %s with counts %v, want done with its pre-crash counts %v",
+				j.ID, j.Status, j.Counts, before[i].Counts)
+		}
+		resp, err := http.Get(hs2.URL + "/api/v2/jobs/" + FormatJobID(j.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2 := decodeV2Job(t, resp.Body)
+		resp.Body.Close()
+		if !v2.Recovered || v2.State != StateDone || len(v2.Counts) == 0 {
+			t.Fatalf("v2 view of job %d: %+v, want recovered done with counts", j.ID, v2)
+		}
 	}
 }

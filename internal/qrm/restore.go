@@ -8,11 +8,11 @@ import (
 	"repro/internal/telemetry/trace"
 )
 
-// This file is the WAL-replay half of crash durability (persist.go is the
-// graceful-shutdown half): Restore rebuilds a freshly-constructed manager
-// from the job records the durable store recovered, keeping original job
-// IDs so idempotency-key replay and v2 watch re-attachment keep working
-// across the restart.
+// This file is the WAL-replay side of crash durability, the only way a
+// manager's jobs survive a restart: Restore rebuilds a freshly-constructed
+// manager from the job records the durable store recovered, keeping
+// original job IDs so idempotency-key replay and v2 watch re-attachment
+// keep working across the restart.
 
 // ErrInterruptedMsg is the error recorded on jobs whose dispatch deadline
 // passed while the process was down; the v2 API keys the retryable
