@@ -47,43 +47,26 @@ func main() {
 	client := mqss.NewRemoteClient(*server, nil)
 	switch args[0] {
 	case "device":
-		var info *mqss.DeviceInfo
-		var err error
-		if len(args) > 1 {
-			// Fleet servers host several backends; name one explicitly.
-			info, err = client.FleetDevice(ctx, args[1])
-		} else {
-			info, err = client.Device(ctx)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if info.Properties.Name == "" {
-			log.Fatal("empty device response — against a fleet server, use `qhpcctl device <name>` (see `qhpcctl fleet status` for the roster)")
-		}
-		fmt.Printf("device: %s (%d qubits, twin=%v)\n", info.Properties.Name,
-			info.Properties.NumQubits, info.Properties.DigitalTwin)
-		fmt.Printf("fidelities: 1q %.4f, readout %.4f, cz %.4f (calibration age %.1f h)\n",
-			info.Fidelity1Q, info.FidelityReadout, info.FidelityCZ, info.CalibrationAgeH)
-		fmt.Println("coupling map:")
-		for q := 0; q < info.Properties.NumQubits; q++ {
-			fmt.Printf("  q%-2d -> %v\n", q, info.Properties.CouplingMap[q])
-		}
-		if info.Calibration != nil && len(info.Calibration.Couplers) > 0 {
-			fmt.Println("coupler CZ fidelities:")
-			edges := make([][2]int, 0, len(info.Calibration.Couplers))
-			for e := range info.Calibration.Couplers {
-				edges = append(edges, e)
+		// qhpcd is a fleet at every size: name one device, or get them all.
+		names := args[1:min(len(args), 2)]
+		if len(names) == 0 {
+			m, err := client.FleetMetrics(ctx)
+			if err != nil {
+				log.Fatal(err)
 			}
-			sort.Slice(edges, func(i, j int) bool {
-				if edges[i][0] != edges[j][0] {
-					return edges[i][0] < edges[j][0]
-				}
-				return edges[i][1] < edges[j][1]
-			})
-			for _, e := range edges {
-				fmt.Printf("  q%d-q%d: %.4f\n", e[0], e[1], info.Calibration.FCZ(e[0], e[1]))
+			for _, d := range m.Devices {
+				names = append(names, d.Name)
 			}
+		}
+		for i, name := range names {
+			info, err := client.FleetDevice(ctx, name)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if i > 0 {
+				fmt.Println()
+			}
+			printDevice(info)
 		}
 	case "submit":
 		fs := flag.NewFlagSet("submit", flag.ExitOnError)
@@ -611,6 +594,34 @@ func printV2Job(j *mqss.Job) {
 	}
 }
 
+// printDevice renders one backend's properties and live calibration.
+func printDevice(info *mqss.DeviceInfo) {
+	fmt.Printf("device: %s (%d qubits, twin=%v)\n", info.Properties.Name,
+		info.Properties.NumQubits, info.Properties.DigitalTwin)
+	fmt.Printf("fidelities: 1q %.4f, readout %.4f, cz %.4f (calibration age %.1f h)\n",
+		info.Fidelity1Q, info.FidelityReadout, info.FidelityCZ, info.CalibrationAgeH)
+	fmt.Println("coupling map:")
+	for q := 0; q < info.Properties.NumQubits; q++ {
+		fmt.Printf("  q%-2d -> %v\n", q, info.Properties.CouplingMap[q])
+	}
+	if info.Calibration != nil && len(info.Calibration.Couplers) > 0 {
+		fmt.Println("coupler CZ fidelities:")
+		edges := make([][2]int, 0, len(info.Calibration.Couplers))
+		for e := range info.Calibration.Couplers {
+			edges = append(edges, e)
+		}
+		sort.Slice(edges, func(i, j int) bool {
+			if edges[i][0] != edges[j][0] {
+				return edges[i][0] < edges[j][0]
+			}
+			return edges[i][1] < edges[j][1]
+		})
+		for _, e := range edges {
+			fmt.Printf("  q%d-q%d: %.4f\n", e[0], e[1], info.Calibration.FCZ(e[0], e[1]))
+		}
+	}
+}
+
 // printFleetStatus renders the fleet snapshot as the operator table.
 func printFleetStatus(m *fleet.Metrics) {
 	fmt.Printf("fleet: %d devices, policy %s\n", len(m.Devices), m.Policy)
@@ -774,21 +785,20 @@ func runBench(server string, cfg benchConfig) {
 		}
 	}
 
-	cl := mqss.NewRemoteClient(server, nil)
-	if cfg.fleet {
-		if m, err := cl.FleetMetrics(context.Background()); err == nil {
-			fmt.Printf("server fleet: %d devices, %d routed, %d migrated, %d completed\n",
-				len(m.Devices), m.Routed, m.Migrated, m.Completed)
+	if fm, err := mqss.NewRemoteClient(server, nil).FleetMetrics(context.Background()); err == nil {
+		fmt.Printf("server fleet: %d devices, %d routed, %d migrated, %d completed\n",
+			len(fm.Devices), fm.Routed, fm.Migrated, fm.Completed)
+		for _, d := range fm.Devices {
+			m := d.QRM
+			fmt.Printf("server pipeline %s: %d workers, %d completed, max queue depth %d\n",
+				d.Name, m.Workers, m.Completed, m.MaxQueueDepth)
+			fmt.Printf("  transpile cache: %d hits / %d misses (%.0f%% hit ratio)\n",
+				m.CacheHits, m.CacheMisses, 100*m.HitRatio())
+			fmt.Printf("  server e2e: p50 %.2f ms, p95 %.2f ms\n",
+				m.E2EMs.Quantile(0.50), m.E2EMs.Quantile(0.95))
+			fmt.Printf("  sim engine: %d fast-path, %d branch-tree jobs (%.3f leaves/shot), %d dist-cache hits\n",
+				m.SimFastPathJobs, m.SimBranchTreeJobs, m.BranchLeavesPerShot(), m.SimDistCacheHits)
 		}
-	} else if m, err := cl.Metrics(context.Background()); err == nil {
-		fmt.Printf("server pipeline: %d workers, %d completed, max queue depth %d\n",
-			m.Workers, m.Completed, m.MaxQueueDepth)
-		fmt.Printf("  transpile cache: %d hits / %d misses (%.0f%% hit ratio)\n",
-			m.CacheHits, m.CacheMisses, 100*m.HitRatio())
-		fmt.Printf("  server e2e: p50 %.2f ms, p95 %.2f ms\n",
-			m.E2EMs.Quantile(0.50), m.E2EMs.Quantile(0.95))
-		fmt.Printf("  sim engine: %d fast-path, %d branch-tree jobs (%.3f leaves/shot), %d dist-cache hits\n",
-			m.SimFastPathJobs, m.SimBranchTreeJobs, m.BranchLeavesPerShot(), m.SimDistCacheHits)
 	}
 
 	if cfg.jsonOut != "" {
@@ -890,7 +900,7 @@ func printJob(j *qrm.Job) {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: qhpcctl [-server URL] <command>
 commands:
-  device [name]                        show device properties and live calibration
+  device [name]                        show one device (or every device) with live calibration
                                        (fleet servers: name one backend)
   submit [-shots N] [-user U] [-device D] [-policy P] f.qasm
                                        submit an OpenQASM circuit and wait; -device/-policy

@@ -31,13 +31,14 @@
 // queued/running ones re-queued under their original IDs. It is the only
 // way a job survives a restart.
 //
-// With -devices N > 1 the daemon serves a simulated multi-QPU fleet: the
-// center's primary QPU plus N-1 heterogeneous siblings (different grid
-// shapes, seeds and drift histories), fronted by the calibration-aware
-// fleet scheduler. Clients pin with ?device= and steer routing with
-// ?policy=; `qhpcctl fleet` shows the roster. -maintenance-days and
-// -sim-rate drive that fleet's maintenance clock, so they require -devices > 1.
-// -workers must be at least 1: every daemon runs its dispatch pipeline.
+// Every daemon is a fleet: -devices N serves the center's primary QPU plus
+// N-1 heterogeneous siblings (different grid shapes, seeds and drift
+// histories) behind the calibration-aware fleet scheduler, and the default
+// -devices 1 is a fleet of one. Clients pin with ?device= and steer routing
+// with ?policy=; `qhpcctl fleet` shows the roster. -maintenance-days and
+// -sim-rate drive the fleet's maintenance clock at any size; a fleet of one
+// parks submissions during a window and runs them when it closes.
+// -workers must be at least 1: every device runs its dispatch pipeline.
 package main
 
 import (
@@ -59,7 +60,6 @@ import (
 	"repro/internal/facility"
 	"repro/internal/federation"
 	"repro/internal/fleet"
-	"repro/internal/mqss"
 	"repro/internal/tenant"
 )
 
@@ -70,13 +70,13 @@ func main() {
 	redundant := flag.Bool("redundant", true, "redundant power and cooling feeds (lesson 3)")
 	nodes := flag.Int("nodes", 64, "classical cluster node count")
 	workers := flag.Int("workers", 4, "dispatch workers per device (>= 1)")
-	devices := flag.Int("devices", 1, "fleet size; > 1 serves the multi-QPU fleet scheduler")
+	devices := flag.Int("devices", 1, "fleet size (>= 1); 1 is a fleet of one")
 	policyFlag := flag.String("fleet-policy", string(fleet.PolicyBestFidelity),
 		"fleet routing policy: best-fidelity, least-loaded, or round-robin")
 	maintDays := flag.Float64("maintenance-days", 0,
-		"attach staggered maintenance windows every N days to each fleet device (0 = none; requires -devices > 1)")
+		"attach staggered maintenance windows every N days to each fleet device (0 = none)")
 	simRate := flag.Float64("sim-rate", 0,
-		"simulated days per wall-clock second driving the fleet maintenance clock (0 = frozen; defaults to 1 when -maintenance-days is set; requires -devices > 1)")
+		"simulated days per wall-clock second driving the fleet maintenance clock (0 = frozen; defaults to 1 when -maintenance-days is set)")
 	pprofAddr := flag.String("pprof-addr", "",
 		"serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 	dataDir := flag.String("data-dir", "",
@@ -139,8 +139,24 @@ func main() {
 	fmt.Fprintf(os.Stderr, "qhpcd: site %q accepted; cooldown %.1f simulated days; phase %s\n",
 		center.SiteReport().Site, days, center.Phase())
 
-	// Crash durability: open the store (snapshot + WAL replay) before the
-	// backend exists so recovered jobs can be handed straight to it.
+	policy, err := fleet.ParsePolicy(*policyFlag)
+	if err != nil {
+		log.Fatalf("qhpcd: %v", err)
+	}
+	f, err := center.BuildFleet(core.FleetConfig{
+		Devices: *devices, WorkersPerDevice: *workers,
+		Policy: policy, MaintenanceEveryDays: *maintDays,
+	})
+	if err != nil {
+		log.Fatalf("qhpcd: building fleet: %v", err)
+	}
+	admission := tenant.Admission{MaxTenantQueue: *tenantQueue, HighWater: *queueHighWater}
+	if admission.Enabled() {
+		f.SetAdmission(admission)
+	}
+
+	// Crash durability: replay snapshot + WAL and hand the recovered jobs to
+	// the fleet before the listener opens.
 	var store *durable.Store
 	var recovery *durable.Recovery
 	if *dataDir != "" {
@@ -159,92 +175,36 @@ func main() {
 		if recovery.Stats.SkippedBytes > 0 {
 			log.Printf("qhpcd: WAL had a torn tail: %d trailing bytes ignored (normal after a crash)", recovery.Stats.SkippedBytes)
 		}
+		f.AttachStore(store)
+		rs, err := f.Restore(recovery.FleetJobs)
+		if err != nil {
+			log.Fatalf("qhpcd: restoring jobs: %v", err)
+		}
+		store.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
+		fmt.Fprintf(os.Stderr, "qhpcd: recovered %d jobs (%d terminal, %d re-queued, %d expired) from %s\n",
+			rs.Terminal+rs.Requeued+rs.Expired, rs.Terminal, rs.Requeued, rs.Expired, *dataDir)
 	}
 
-	admission := tenant.Admission{MaxTenantQueue: *tenantQueue, HighWater: *queueHighWater}
-
-	var mqssServer *mqss.Server
-	// drain runs after the listener stops accepting: finish or park the
-	// backend's remaining work so no accepted job is silently dropped.
-	var drain func()
-	// fleetSched escapes the fleet branch so the federation bootstrap can
-	// stamp its ID base and node identity.
-	var fleetSched *fleet.Scheduler
-	if *devices > 1 {
-		policy, err := fleet.ParsePolicy(*policyFlag)
-		if err != nil {
-			log.Fatalf("qhpcd: %v", err)
-		}
-		f, err := center.BuildFleet(core.FleetConfig{
-			Devices: *devices, WorkersPerDevice: *workers,
-			Policy: policy, MaintenanceEveryDays: *maintDays,
-		})
-		if err != nil {
-			log.Fatalf("qhpcd: building fleet: %v", err)
-		}
-		if admission.Enabled() {
-			f.SetAdmission(admission)
-		}
-		if store != nil {
-			if len(recovery.QRMJobs) > 0 {
-				log.Printf("qhpcd: %s holds %d single-device job records; they are preserved but a fleet daemon cannot re-queue them", *dataDir, len(recovery.QRMJobs))
+	mqssServer := center.FleetRESTHandler(f)
+	fmt.Fprintf(os.Stderr, "qhpcd: fleet of %d devices (%s routing, %d workers each): %v\n",
+		*devices, policy, *workers, f.Devices())
+	// Maintenance windows live on the simulation clock; a frozen clock
+	// would make -maintenance-days a no-op, so it defaults on.
+	rate := *simRate
+	if rate == 0 && *maintDays > 0 {
+		rate = 1
+	}
+	if rate > 0 {
+		fmt.Fprintf(os.Stderr, "qhpcd: simulation clock at %.3g days/s (maintenance windows will drain devices on schedule)\n", rate)
+		go func() {
+			const tick = 250 * time.Millisecond
+			day := 0.0
+			for range time.Tick(tick) {
+				day += rate * tick.Seconds()
+				f.AdvanceTo(day)
+				f.PublishMetrics(nil, day*86400)
 			}
-			f.AttachStore(store)
-			rs, err := f.Restore(recovery.FleetJobs)
-			if err != nil {
-				log.Fatalf("qhpcd: restoring fleet jobs: %v", err)
-			}
-			store.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
-			fmt.Fprintf(os.Stderr, "qhpcd: recovered %d jobs (%d terminal, %d re-queued, %d expired) from %s\n",
-				rs.Terminal+rs.Requeued+rs.Expired, rs.Terminal, rs.Requeued, rs.Expired, *dataDir)
-		}
-		drain = f.Stop
-		fleetSched = f
-		mqssServer = center.FleetRESTHandler(f)
-		fmt.Fprintf(os.Stderr, "qhpcd: fleet of %d devices (%s routing, %d workers each): %v\n",
-			*devices, policy, *workers, f.Devices())
-		fmt.Fprintf(os.Stderr, "qhpcd: fleet endpoints: POST /api/v1/jobs[?device=&policy=], POST /api/v1/jobs/batch[?stream=1&device=&policy=], GET /api/v1/fleet\n")
-		// Maintenance windows live on the simulation clock; a frozen clock
-		// would make -maintenance-days a no-op, so it defaults on.
-		rate := *simRate
-		if rate == 0 && *maintDays > 0 {
-			rate = 1
-		}
-		if rate > 0 {
-			fmt.Fprintf(os.Stderr, "qhpcd: simulation clock at %.3g days/s (maintenance windows will drain devices on schedule)\n", rate)
-			go func() {
-				const tick = 250 * time.Millisecond
-				day := 0.0
-				for range time.Tick(tick) {
-					day += rate * tick.Seconds()
-					f.AdvanceTo(day)
-					f.PublishMetrics(nil, day*86400)
-				}
-			}()
-		}
-	} else {
-		if admission.Enabled() {
-			center.QRM.SetAdmission(admission)
-		}
-		if store != nil {
-			if len(recovery.FleetJobs) > 0 {
-				log.Printf("qhpcd: %s holds %d fleet job records; they are preserved but a single-device daemon cannot re-queue them", *dataDir, len(recovery.FleetJobs))
-			}
-			center.QRM.AttachStore(store)
-			rs, err := center.QRM.Restore(recovery.QRMJobs)
-			if err != nil {
-				log.Fatalf("qhpcd: restoring jobs: %v", err)
-			}
-			store.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
-			fmt.Fprintf(os.Stderr, "qhpcd: recovered %d jobs (%d terminal, %d re-queued, %d expired) from %s\n",
-				rs.Terminal+rs.Requeued+rs.Expired, rs.Terminal, rs.Requeued, rs.Expired, *dataDir)
-		}
-		if err := center.StartPipeline(*workers); err != nil {
-			log.Fatalf("qhpcd: starting dispatch pipeline: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "qhpcd: dispatch pipeline running with %d workers (QPU admission-gated)\n", *workers)
-		mqssServer = center.RESTHandler()
-		drain = center.StopPipeline
+		}()
 	}
 	if *tenantRate > 0 {
 		burst := *tenantBurst
@@ -289,15 +249,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("qhpcd: federation: %v", err)
 		}
-		if fleetSched != nil {
-			fleetSched.SetIDBase(fed.SelfBase())
-			fleetSched.SetIDLimit(fed.SelfLimit())
-			fleetSched.SetNodeID(*nodeID)
-		} else {
-			center.QRM.SetIDBase(fed.SelfBase())
-			center.QRM.SetIDLimit(fed.SelfLimit())
-			center.QRM.SetNodeID(*nodeID)
-		}
+		f.SetIDBase(fed.SelfBase())
+		f.SetIDLimit(fed.SelfLimit())
+		f.SetNodeID(*nodeID)
 		mqssServer.AttachFederation(fed)
 		fed.Start()
 		fmt.Fprintf(os.Stderr, "qhpcd: federation member %q (%d nodes, id range base %d): peers %s\n",
@@ -307,14 +261,15 @@ func main() {
 		log.Fatalf("qhpcd: -peers requires -node-id (this node needs a name its peers agree on)")
 	}
 	fmt.Fprintf(os.Stderr, "qhpcd: serving MQSS REST API on %s\n", *addr)
-	fmt.Fprintf(os.Stderr, "qhpcd: endpoints: POST /api/v1/jobs, POST /api/v1/jobs/batch[?stream=1], GET /api/v1/jobs, GET /api/v1/device, GET /api/v1/telemetry/, GET /api/v1/metrics, GET /healthz\n")
+	fmt.Fprintf(os.Stderr, "qhpcd: endpoints: POST /api/v1/jobs[?device=&policy=], POST /api/v1/jobs/batch[?stream=1&device=&policy=], GET /api/v1/jobs, GET /api/v1/device[?device=], GET /api/v1/fleet, GET /api/v1/telemetry/, GET /api/v1/metrics, GET /healthz\n")
 	fmt.Fprintf(os.Stderr, "qhpcd: v2 endpoints: POST /api/v2/jobs[?wait=], GET /api/v2/jobs[?user=&state=&cursor=], GET /api/v2/jobs/{id}[?wait=], GET /api/v2/jobs/{id}/events, GET /api/v2/jobs/{id}/trace, DELETE /api/v2/jobs/{id}\n")
 	fmt.Fprintf(os.Stderr, "qhpcd: observability: GET /metrics (Prometheus text), `qhpcctl trace <j-id>` for span waterfalls (docs/OBSERVABILITY.md)\n")
 
 	// Graceful shutdown: SIGINT/SIGTERM stops accepting connections, ends
 	// active v2 watch streams cleanly (mqss.Server.Close), waits for
-	// in-flight handlers, then drains the dispatch backend so accepted jobs
-	// finish (single device) or park safely (fleet Stop).
+	// in-flight handlers, then stops the fleet: jobs already executing
+	// finish, and jobs that never started fail in memory without being
+	// journaled, so a restart on the same -data-dir re-queues them.
 	srv := &http.Server{Addr: *addr, Handler: mqssServer}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -336,9 +291,9 @@ func main() {
 			log.Printf("qhpcd: shutdown: %v", err)
 		}
 		cancel()
-		drain()
+		f.Stop()
 		if store != nil {
-			// The backend is quiescent: fold the WAL into one snapshot so the
+			// The fleet is quiescent: fold the WAL into one snapshot so the
 			// next start replays a single file, then fsync-close the journal.
 			if err := store.Compact(); err != nil {
 				log.Printf("qhpcd: final WAL compaction: %v", err)
@@ -351,23 +306,21 @@ func main() {
 	}
 }
 
-// checkFlags rejects flag combinations that would otherwise be ignored or
-// reinterpreted depending on -devices: every flag means the same thing at
-// any fleet size, or the daemon refuses to start.
+// checkFlags rejects values the daemon would otherwise silently ignore or
+// reinterpret: every flag means the same thing at any fleet size, or the
+// daemon refuses to start.
 func checkFlags(workers, devices int, maintDays, simRate float64) error {
 	if devices < 1 {
 		return fmt.Errorf("-devices must be at least 1 (got %d)", devices)
 	}
 	if workers < 1 {
-		return fmt.Errorf("-workers must be at least 1 (got %d): every daemon runs its dispatch pipeline", workers)
+		return fmt.Errorf("-workers must be at least 1 (got %d): every device runs its dispatch pipeline", workers)
 	}
-	if devices == 1 {
-		if maintDays != 0 {
-			return fmt.Errorf("-maintenance-days schedules fleet maintenance windows and requires -devices > 1 (got -devices 1)")
-		}
-		if simRate != 0 {
-			return fmt.Errorf("-sim-rate drives the fleet maintenance clock and requires -devices > 1 (got -devices 1)")
-		}
+	if maintDays < 0 {
+		return fmt.Errorf("-maintenance-days must not be negative (got %g)", maintDays)
+	}
+	if simRate < 0 {
+		return fmt.Errorf("-sim-rate must not be negative (got %g)", simRate)
 	}
 	return nil
 }

@@ -5,7 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/qrm"
+	"repro/internal/fleet"
 )
 
 // FuzzWALReplay throws arbitrary bytes at the replay path as a journal
@@ -27,6 +27,12 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F}) // huge declared length, no body
 	f.Add(appendFrame(nil, 7, nil))       // empty payload (no kind byte)
+	// A fleet segment: the record kind every store writes today (the Q
+	// frames above are legacy, converted on replay).
+	var fleetSeg []byte
+	fleetSeg = appendFrame(fleetSeg, 1, []byte(`F{"submit_unix_ms":5,"job":{"id":1,"status":"pending","request":{"circuit":null,"shots":1,"priority":0,"user":"u"}}}`))
+	fleetSeg = appendFrame(fleetSeg, 2, []byte(`F{"job":{"id":1,"status":"done"}}`))
+	f.Add(fleetSeg)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -38,13 +44,13 @@ func FuzzWALReplay(f *testing.F) {
 			// I/O errors are legal; panics and hangs are the bug class.
 			return
 		}
-		for _, j := range rec.QRMJobs {
+		for _, j := range rec.FleetJobs {
 			if j == nil {
 				t.Fatal("replay surfaced a nil job")
 			}
 		}
 		// The store must stay writable after swallowing garbage.
-		st.JournalQRMJob(&qrm.Job{ID: 999, Status: qrm.StatusQueued})
+		st.JournalFleetJob(&fleet.Job{ID: 999, Status: fleet.JobPending})
 		if err := st.Close(); err != nil {
 			t.Fatalf("close after garbage replay: %v", err)
 		}

@@ -15,24 +15,60 @@ import (
 
 // Record kinds: the first payload byte tags how the JSON body decodes.
 const (
-	recQRMJob   = 'Q' // qrmJobRecord — single-device manager job upsert
 	recFleetJob = 'F' // fleetJobRecord — fleet scheduler job upsert
 	recIdem     = 'I' // idemRecord — idempotency-key → job-ID binding
 	recMeta     = 'M' // metaRecord — snapshot header
+	// recLegacyQRMJob tags single-device manager job upserts, which data
+	// directories of daemons that ran without a fleet still hold. Nothing
+	// writes it: replay converts each one into the fleet record a fleet of
+	// one keeps for the same job, and compaction rewrites it as F.
+	recLegacyQRMJob = 'Q'
 )
 
-// qrmJobRecord wraps a manager job for the journal. SubmitUnixMs rides
-// outside the job because the v1 wire shape excludes it (json:"-"): the
+// fleetJobRecord wraps a fleet job for the journal. SubmitUnixMs rides
+// outside the job because the wire shape excludes it (json:"-"): the
 // dispatch deadline must keep its original budget across a restart without
-// changing what GET /api/v1/jobs returns.
-type qrmJobRecord struct {
-	SubmitUnixMs int64    `json:"submit_unix_ms,omitempty"`
-	Job          *qrm.Job `json:"job"`
-}
-
+// changing what the job endpoints return.
 type fleetJobRecord struct {
 	SubmitUnixMs int64      `json:"submit_unix_ms,omitempty"`
 	Job          *fleet.Job `json:"job"`
+}
+
+// legacyQRMRecord is the body of a Q record.
+type legacyQRMRecord struct {
+	SubmitUnixMs int64         `json:"submit_unix_ms,omitempty"`
+	Job          *legacyQRMJob `json:"job"`
+}
+
+// legacyQRMJob is a single-device manager job plus the federation
+// ownership stamp it carried.
+type legacyQRMJob struct {
+	qrm.Job
+	Node string `json:"node,omitempty"`
+}
+
+// fleetJob converts a legacy record into the record a fleet of one keeps
+// for the same job: same ID, request and submission instant; terminal jobs
+// carry the device-level record (counts, layout, error) as Result, and
+// everything else is pending, which Restore re-queues.
+func (r legacyQRMRecord) fleetJob() *fleet.Job {
+	q := r.Job.Job
+	j := &fleet.Job{
+		ID: q.ID, Status: fleet.JobPending, BatchID: q.Request.BatchID,
+		Request: q.Request, SubmitUnixMs: r.SubmitUnixMs, Node: r.Job.Node,
+	}
+	switch q.Status {
+	case qrm.StatusDone:
+		j.Status = fleet.JobDone
+	case qrm.StatusCancelled:
+		j.Status = fleet.JobCancelled
+	case qrm.StatusFailed, qrm.StatusInterrupted:
+		j.Status, j.Error = fleet.JobFailed, q.Error
+	default:
+		return j
+	}
+	j.Result = &q
+	return j
 }
 
 type idemRecord struct {
@@ -61,9 +97,9 @@ type ReplayStats struct {
 	DurationMs   float64       `json:"duration_ms"`
 }
 
-// RestoreOutcome is what the schedulers did with the recovered jobs; the
-// store only learns it via NoteRestore (replay hands jobs over, the
-// managers decide requeue vs. expire).
+// RestoreOutcome is what the fleet scheduler did with the recovered jobs;
+// the store only learns it via NoteRestore (replay hands jobs over, the
+// scheduler decides requeue vs. expire).
 type RestoreOutcome struct {
 	Terminal int `json:"terminal"`
 	Requeued int `json:"requeued"`
@@ -71,10 +107,8 @@ type RestoreOutcome struct {
 }
 
 // Recovery is the materialized state Open rebuilt from snapshot + WAL,
-// ready to hand to qrm.Manager.Restore / fleet.Scheduler.Restore and the
-// mqss idempotency cache.
+// ready to hand to fleet.Scheduler.Restore and the mqss idempotency cache.
 type Recovery struct {
-	QRMJobs   []*qrm.Job
 	FleetJobs []*fleet.Job
 	Idem      map[string]int
 	Stats     ReplayStats
@@ -103,15 +137,14 @@ type Stats struct {
 
 // Store is the crash-durable job store: a WAL of job-record upserts plus a
 // last-write-wins materialized view that periodic compaction snapshots.
-// One Store serves at most one scheduler (single-device manager or fleet)
-// plus the mqss idempotency cache.
+// One Store serves at most one fleet scheduler plus the mqss idempotency
+// cache.
 type Store struct {
 	dir string
 	w   *wal
 
 	mu          sync.Mutex
-	qrmJobs     map[int][]byte // latest journal payload per job, kind byte included
-	fleetJobs   map[int][]byte
+	jobs        map[int][]byte // latest F payload per job, kind byte included
 	idem        map[string]int
 	abandoned   bool
 	snapshotLSN uint64
@@ -141,10 +174,9 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 	}
 	start := time.Now()
 	s := &Store{
-		dir:       dir,
-		qrmJobs:   make(map[int][]byte),
-		fleetJobs: make(map[int][]byte),
-		idem:      make(map[string]int),
+		dir:  dir,
+		jobs: make(map[int][]byte),
+		idem: make(map[string]int),
 	}
 	var lastLSN uint64
 	apply := func(lsn uint64, payload []byte) {
@@ -189,14 +221,7 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 	for k, v := range s.idem {
 		rec.Idem[k] = v
 	}
-	for _, payload := range s.qrmJobs {
-		var r qrmJobRecord
-		if json.Unmarshal(payload[1:], &r) == nil && r.Job != nil {
-			r.Job.SubmitUnixMs = r.SubmitUnixMs
-			rec.QRMJobs = append(rec.QRMJobs, r.Job)
-		}
-	}
-	for _, payload := range s.fleetJobs {
+	for _, payload := range s.jobs {
 		var r fleetJobRecord
 		if json.Unmarshal(payload[1:], &r) == nil && r.Job != nil {
 			r.Job.SubmitUnixMs = r.SubmitUnixMs
@@ -215,15 +240,19 @@ func (s *Store) applyPayload(payload []byte) {
 	}
 	body := payload[1:]
 	switch payload[0] {
-	case recQRMJob:
-		var r qrmJobRecord
-		if json.Unmarshal(body, &r) == nil && r.Job != nil {
-			s.qrmJobs[r.Job.ID] = append([]byte(nil), payload...)
+	case recLegacyQRMJob:
+		var r legacyQRMRecord
+		if json.Unmarshal(body, &r) != nil || r.Job == nil {
+			return
+		}
+		j := r.fleetJob()
+		if f, err := json.Marshal(fleetJobRecord{SubmitUnixMs: j.SubmitUnixMs, Job: j}); err == nil {
+			s.jobs[j.ID] = append([]byte{recFleetJob}, f...)
 		}
 	case recFleetJob:
 		var r fleetJobRecord
 		if json.Unmarshal(body, &r) == nil && r.Job != nil {
-			s.fleetJobs[r.Job.ID] = append([]byte(nil), payload...)
+			s.jobs[r.Job.ID] = append([]byte(nil), payload...)
 		}
 	case recIdem:
 		var r idemRecord
@@ -267,19 +296,12 @@ func (s *Store) journal(kind byte, rec interface{}, upsert func(payload []byte))
 	return lsn
 }
 
-// JournalQRMJob journals the current state of a single-device manager job.
-// Implements qrm.JobStore.
-func (s *Store) JournalQRMJob(j *qrm.Job) uint64 {
-	return s.journal(recQRMJob, qrmJobRecord{SubmitUnixMs: j.SubmitUnixMs, Job: j},
-		func(payload []byte) { s.qrmJobs[j.ID] = payload })
-}
-
 // JournalFleetJob journals the current state of a fleet job — placement,
 // migrations, parking, and terminal results all flow through here.
 // Implements fleet.JobStore.
 func (s *Store) JournalFleetJob(j *fleet.Job) uint64 {
 	return s.journal(recFleetJob, fleetJobRecord{SubmitUnixMs: j.SubmitUnixMs, Job: j},
-		func(payload []byte) { s.fleetJobs[j.ID] = payload })
+		func(payload []byte) { s.jobs[j.ID] = payload })
 }
 
 // JournalIdem journals an idempotency-key binding so replayed submissions
@@ -298,7 +320,7 @@ func (s *Store) WaitDurable(lsn uint64) {
 	}
 }
 
-// NoteRestore records what the schedulers did with the recovered jobs, for
+// NoteRestore records what the scheduler did with the recovered jobs, for
 // the admin endpoint and metrics.
 func (s *Store) NoteRestore(terminal, requeued, expired int) {
 	s.mu.Lock()
@@ -328,10 +350,7 @@ func (s *Store) Compact() error {
 	}
 
 	buf := appendFrame(nil, snapLSN, metaPayload(snapLSN))
-	for _, payload := range s.qrmJobs {
-		buf = appendFrame(buf, snapLSN, payload)
-	}
-	for _, payload := range s.fleetJobs {
+	for _, payload := range s.jobs {
 		buf = appendFrame(buf, snapLSN, payload)
 	}
 	for key, id := range s.idem {

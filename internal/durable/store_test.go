@@ -15,20 +15,20 @@ import (
 	"repro/internal/qrm"
 )
 
-// TestStoreRoundtrip journals all three record kinds, closes, and reopens:
-// Recovery must hand back exactly the latest upsert of each.
+// TestStoreRoundtrip journals job and idempotency records, closes, and
+// reopens: Recovery must hand back exactly the latest upsert of each.
 func TestStoreRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	st, rec, err := Open(dir, Options{Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.QRMJobs) != 0 || len(rec.FleetJobs) != 0 || len(rec.Idem) != 0 {
+	if len(rec.FleetJobs) != 0 || len(rec.Idem) != 0 {
 		t.Fatalf("fresh dir recovered state: %+v", rec)
 	}
-	st.JournalQRMJob(&qrm.Job{ID: 1, Status: qrm.StatusQueued, SubmitUnixMs: 1111})
-	st.JournalQRMJob(&qrm.Job{ID: 2, Status: qrm.StatusQueued})
-	lsn := st.JournalQRMJob(&qrm.Job{ID: 1, Status: qrm.StatusDone, SubmitUnixMs: 1111})
+	st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobPending, SubmitUnixMs: 1111})
+	st.JournalFleetJob(&fleet.Job{ID: 2, Status: fleet.JobPending})
+	lsn := st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobDone, SubmitUnixMs: 1111})
 	st.JournalFleetJob(&fleet.Job{ID: 7, Status: fleet.JobRouted, Device: "dev-0"})
 	st.JournalIdem("key-a", 1)
 	st.WaitDurable(lsn)
@@ -40,23 +40,23 @@ func TestStoreRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec2.QRMJobs) != 2 {
-		t.Fatalf("recovered %d qrm jobs, want 2", len(rec2.QRMJobs))
+	if len(rec2.FleetJobs) != 3 {
+		t.Fatalf("recovered %d jobs, want 3", len(rec2.FleetJobs))
 	}
-	byID := map[int]*qrm.Job{}
-	for _, j := range rec2.QRMJobs {
+	byID := map[int]*fleet.Job{}
+	for _, j := range rec2.FleetJobs {
 		byID[j.ID] = j
 	}
-	// Last-write-wins: job 1's terminal upsert shadows the queued one, and
+	// Last-write-wins: job 1's terminal upsert shadows the pending one, and
 	// the out-of-band SubmitUnixMs survives the json:"-" tag via the wrapper.
-	if j := byID[1]; j == nil || j.Status != qrm.StatusDone || j.SubmitUnixMs != 1111 {
+	if j := byID[1]; j == nil || j.Status != fleet.JobDone || j.SubmitUnixMs != 1111 {
 		t.Fatalf("job 1 recovered wrong: %+v", byID[1])
 	}
-	if j := byID[2]; j == nil || j.Status != qrm.StatusQueued {
+	if j := byID[2]; j == nil || j.Status != fleet.JobPending {
 		t.Fatalf("job 2 recovered wrong: %+v", byID[2])
 	}
-	if len(rec2.FleetJobs) != 1 || rec2.FleetJobs[0].ID != 7 || rec2.FleetJobs[0].Device != "dev-0" {
-		t.Fatalf("fleet jobs recovered wrong: %+v", rec2.FleetJobs)
+	if j := byID[7]; j == nil || j.Status != fleet.JobRouted || j.Device != "dev-0" {
+		t.Fatalf("job 7 recovered wrong: %+v", byID[7])
 	}
 	if rec2.Idem["key-a"] != 1 {
 		t.Fatalf("idem recovered wrong: %+v", rec2.Idem)
@@ -76,7 +76,7 @@ func TestStoreCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 10; i++ {
-		st.JournalQRMJob(&qrm.Job{ID: i, Status: qrm.StatusDone})
+		st.JournalFleetJob(&fleet.Job{ID: i, Status: fleet.JobDone})
 	}
 	st.JournalIdem("k", 3)
 	if err := st.Compact(); err != nil {
@@ -90,7 +90,7 @@ func TestStoreCompact(t *testing.T) {
 		t.Fatalf("compact stats wrong: %+v", stats)
 	}
 	// A post-compaction record must land in the fresh segment and survive.
-	st.JournalQRMJob(&qrm.Job{ID: 11, Status: qrm.StatusQueued})
+	st.JournalFleetJob(&fleet.Job{ID: 11, Status: fleet.JobPending})
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +99,8 @@ func TestStoreCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.QRMJobs) != 11 {
-		t.Fatalf("recovered %d jobs after compact+reopen, want 11", len(rec.QRMJobs))
+	if len(rec.FleetJobs) != 11 {
+		t.Fatalf("recovered %d jobs after compact+reopen, want 11", len(rec.FleetJobs))
 	}
 	if rec.Idem["k"] != 3 {
 		t.Fatalf("idem lost across compaction: %+v", rec.Idem)
@@ -132,14 +132,14 @@ func copyDir(t *testing.T, src string) string {
 }
 
 // TestCrashPointProperty is the crash-point property test: run a real
-// single-device manager against the store, abandon it mid-flight (kill -9),
-// then truncate the WAL at EVERY byte offset inside the final record that a
+// fleet of one against the store, abandon it mid-flight (kill -9), then
+// truncate the WAL at EVERY byte offset inside the final record that a
 // crash could tear, and replay each truncation. The last submit's record was
 // acked only after an fsync, so cuts never reach into it; when the final
 // frame IS that record, only the untruncated replay is checked. At every
 // cut: replay must not panic, every acked job must be recovered exactly once
 // (conservation), jobs whose terminal record survived must restore as
-// terminal (never double-run), and a fresh manager must accept the restore.
+// terminal (never double-run), and a fresh fleet must accept the restore.
 // Runs under -race in the regular suite.
 func TestCrashPointProperty(t *testing.T) {
 	dir := t.TempDir()
@@ -147,39 +147,38 @@ func TestCrashPointProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := qdmi.NewDevice(qpu, nil)
-	m := qrm.NewManager(dev)
+	f := fleet.New(fleet.PolicyBestFidelity, nil)
+	if err := f.AddDevice("crash-0", qdmi.NewDevice(qpu, nil), 2); err != nil {
+		t.Fatal(err)
+	}
 	st, _, err := Open(dir, Options{Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.AttachStore(st)
-	if err := m.Start(2); err != nil {
-		t.Fatal(err)
-	}
+	f.AttachStore(st)
 
 	const jobs = 8
 	var ids []int
 	for i := 0; i < jobs; i++ {
-		id, err := m.Submit(qrm.Request{Circuit: circuit.GHZ(3), Shots: 4, User: "crash"})
+		id, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(3), Shots: 4, User: "crash"}, fleet.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
-	// Let roughly half the batch finish so the WAL holds a mix of queued,
-	// running, and terminal records when the axe falls.
+	// Let roughly half the batch finish so the WAL holds a mix of pending,
+	// routed, and terminal records when the axe falls.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	awaited := map[int]bool{}
 	for _, id := range ids[:jobs/2] {
-		if _, err := m.AwaitTerminal(ctx, id); err != nil {
+		if _, err := f.WaitContext(ctx, id); err != nil {
 			t.Fatal(err)
 		}
 		awaited[id] = true
 	}
 	st.Abandon() // the kill: nothing from here reaches disk
-	m.Stop()
+	f.Stop()
 	st.Close()
 
 	// Locate the final frame of the last journal segment, and the end of the
@@ -229,7 +228,7 @@ func TestCrashPointProperty(t *testing.T) {
 			t.Fatalf("cut at %d: open failed: %v", cut, err)
 		}
 		seen := map[int]bool{}
-		for _, j := range rec.QRMJobs {
+		for _, j := range rec.FleetJobs {
 			if seen[j.ID] {
 				t.Fatalf("cut at %d: job %d recovered twice", cut, j.ID)
 			}
@@ -244,8 +243,11 @@ func TestCrashPointProperty(t *testing.T) {
 		if len(seen) != jobs {
 			t.Fatalf("cut at %d: recovered %d jobs, want %d", cut, len(seen), jobs)
 		}
-		m2 := qrm.NewManager(dev)
-		rs, err := m2.Restore(rec.QRMJobs)
+		// A device-less fleet accepts the restore and parks what it
+		// re-queues, so no recovered job runs here.
+		f2 := fleet.New(fleet.PolicyBestFidelity, nil)
+		rs, err := f2.Restore(rec.FleetJobs)
+		f2.Stop()
 		if err != nil {
 			t.Fatalf("cut at %d: restore failed: %v", cut, err)
 		}
@@ -255,9 +257,9 @@ func TestCrashPointProperty(t *testing.T) {
 		// Never double-run: a job whose terminal record survived the cut must
 		// restore as terminal, not re-enter the queue.
 		terminalRecovered := 0
-		for _, j := range rec.QRMJobs {
+		for _, j := range rec.FleetJobs {
 			switch j.Status {
-			case qrm.StatusDone, qrm.StatusFailed, qrm.StatusCancelled, qrm.StatusInterrupted:
+			case fleet.JobDone, fleet.JobFailed, fleet.JobCancelled:
 				terminalRecovered++
 			}
 		}
@@ -278,22 +280,22 @@ func TestCrashPointProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	for _, j := range rec.QRMJobs {
-		if awaited[j.ID] && j.Status != qrm.StatusDone {
+	for _, j := range rec.FleetJobs {
+		if awaited[j.ID] && j.Status != fleet.JobDone {
 			t.Errorf("awaited job %d recovered as %s, want done", j.ID, j.Status)
 		}
 	}
 }
 
 // isSubmitRecord reports whether a journal payload is job id's submit
-// record: its first single-device upsert, in the queued state.
+// record: its first fleet upsert, in the pending state.
 func isSubmitRecord(payload []byte, id int) bool {
-	if len(payload) == 0 || payload[0] != recQRMJob {
+	if len(payload) == 0 || payload[0] != recFleetJob {
 		return false
 	}
-	var r qrmJobRecord
+	var r fleetJobRecord
 	return json.Unmarshal(payload[1:], &r) == nil && r.Job != nil &&
-		r.Job.ID == id && r.Job.Status == qrm.StatusQueued
+		r.Job.ID == id && r.Job.Status == fleet.JobPending
 }
 
 // TestStoreAbandonSwallowsJournal pins the post-kill contract: journals are
@@ -303,13 +305,107 @@ func TestStoreAbandonSwallowsJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn := st.JournalQRMJob(&qrm.Job{ID: 1, Status: qrm.StatusQueued})
+	lsn := st.JournalFleetJob(&fleet.Job{ID: 1, Status: fleet.JobPending})
 	st.Abandon()
-	if got := st.JournalQRMJob(&qrm.Job{ID: 2, Status: qrm.StatusQueued}); got != lsn {
+	if got := st.JournalFleetJob(&fleet.Job{ID: 2, Status: fleet.JobPending}); got != lsn {
 		t.Fatalf("journal after abandon advanced the lsn: %d -> %d", lsn, got)
 	}
 	st.WaitDurable(lsn + 50) // must not hang
 	if err := st.Close(); err != nil {
 		t.Fatalf("close after abandon: %v", err)
+	}
+}
+
+// TestGracefulStopKeepsQueuedJobs pins the graceful-shutdown contract of a
+// durable fleet: the daemon's drain (Stop, Compact, Close) must leave every
+// job that never started executing re-queueable, as a kill -9 would. Stop
+// still settles those jobs in memory, but the journal keeps their last
+// pre-stop record, so the next start re-queues them under their IDs.
+func TestGracefulStopKeepsQueuedJobs(t *testing.T) {
+	newFleet := func() *fleet.Scheduler {
+		qpu, err := device.New(device.Config{Name: "drain-0", Rows: 4, Cols: 5, Seed: 12, DigitalTwin: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qpu.SetExecLatency(5 * time.Millisecond)
+		f := fleet.New(fleet.PolicyBestFidelity, nil)
+		if err := f.AddDevice("drain-0", qdmi.NewDevice(qpu, nil), 1); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	dir := t.TempDir()
+	st, _, err := Open(dir, Options{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFleet()
+	f.AttachStore(st)
+	const jobs = 40
+	var ids []int
+	for i := 0; i < jobs; i++ {
+		id, err := f.Submit(qrm.Request{Circuit: circuit.GHZ(3), Shots: 20, User: "drain"}, fleet.SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	f.Stop()
+	for _, id := range ids {
+		if j, _ := f.Job(id); j.Status != fleet.JobDone && j.Status != fleet.JobFailed {
+			t.Fatalf("job %d left %s in memory by Stop, want settled", id, j.Status)
+		}
+	}
+	if m := f.Metrics(); m.Migrated != 0 {
+		t.Fatalf("Stop counted %d migrations on a fleet of one", m.Migrated)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, rec, err := Open(dir, Options{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if len(rec.FleetJobs) != jobs {
+		t.Fatalf("reopen recovered %d jobs, want %d", len(rec.FleetJobs), jobs)
+	}
+	queued := 0
+	for _, j := range rec.FleetJobs {
+		switch j.Status {
+		case fleet.JobDone:
+		case fleet.JobPending, fleet.JobRouted:
+			queued++
+		default:
+			t.Fatalf("job %d journaled as %s (%q) by a graceful stop; only executed jobs may be terminal", j.ID, j.Status, j.Error)
+		}
+	}
+	if queued == 0 {
+		t.Fatal("every job ran before Stop; the test saw no queued work")
+	}
+	f2 := newFleet()
+	defer f2.Stop()
+	f2.AttachStore(st2)
+	rs, err := f2.Restore(rec.FleetJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Requeued != queued || rs.Terminal != jobs-queued {
+		t.Fatalf("restore stats %+v, want %d re-queued and %d terminal", rs, queued, jobs-queued)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, id := range ids {
+		j, err := f2.WaitContext(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Status != fleet.JobDone {
+			t.Fatalf("job %d ended %s (%q) after the restart, want done", id, j.Status, j.Error)
+		}
 	}
 }

@@ -1,7 +1,7 @@
-// Package durable is the crash-durable job store behind the QRM and fleet
-// schedulers: an append-only write-ahead log of job-lifecycle records plus
+// Package durable is the crash-durable job store behind the fleet
+// scheduler: an append-only write-ahead log of job-lifecycle records plus
 // periodic snapshot compaction. Every transition the event bus publishes
-// (submit, claim, running, terminal, park, migrate, idempotency-key binding)
+// (submit, route, park, migrate, terminal, idempotency-key binding)
 // is journaled as a full upsert of the job's record, so replay is a trivial
 // last-write-wins fold and a snapshot/journal overlap is harmless. The §4
 // user request behind it — "more robust job restart tools after system

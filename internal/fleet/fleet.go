@@ -525,10 +525,6 @@ func (s *Scheduler) SubmitBatch(reqs []qrm.Request, opts SubmitOptions) (int, []
 // parks; it is re-dispatched when a device resumes (with a clean slate — a
 // previously excluded device may have recovered by then).
 func (s *Scheduler) routeLocked(j *Job, exclude map[string]bool, reason string) {
-	if s.closed {
-		s.finalizeLocked(j, JobFailed, nil, "fleet: scheduler stopped before the job could run")
-		return
-	}
 	// A re-route of a parked job closes its parked interval first.
 	j.parkSpan.End()
 	j.parkSpan = nil
@@ -591,11 +587,7 @@ func (s *Scheduler) monitor(j *Job, e *deviceEntry, localID int) {
 		return // fleet-level Cancel or Stop already settled it
 	}
 	if err != nil {
-		// The device pool stopped with the job still queued (teardown).
-		if s.closed {
-			s.finalizeLocked(j, JobFailed, nil, "fleet: stopped with job queued: "+err.Error())
-			return
-		}
+		// The device pool stopped with the job still queued.
 		s.migrateLocked(j, e)
 		return
 	}
@@ -631,8 +623,13 @@ func (s *Scheduler) monitor(j *Job, e *deviceEntry, localID int) {
 }
 
 // migrateLocked re-routes a displaced job, excluding the device it came from
-// for this attempt.
+// for this attempt. A stopping scheduler has nowhere to send it: the job
+// never ran to completion, so it is aborted, not counted as a migration.
 func (s *Scheduler) migrateLocked(j *Job, from *deviceEntry) {
+	if s.closed {
+		s.abortLocked(j, "fleet: scheduler stopped before the job could run")
+		return
+	}
 	j.Migrations++
 	from.migratedOut++
 	s.migrated++
@@ -673,6 +670,18 @@ func (s *Scheduler) finalizeLocked(j *Job, st JobStatus, rec *qrm.Job, errMsg st
 	}
 	close(j.done)
 	s.cond.Broadcast()
+}
+
+// abortLocked settles a job that never started executing because the
+// scheduler is stopping. Waiters and watch streams see it fail, but the
+// failure is not journaled: the WAL keeps the job's last pre-stop record,
+// so the next start's Restore re-queues it under its ID. A graceful stop
+// therefore keeps every job a kill -9 would.
+func (s *Scheduler) abortLocked(j *Job, errMsg string) {
+	st := s.jstore
+	s.jstore = nil
+	s.finalizeLocked(j, JobFailed, nil, errMsg)
+	s.jstore = st
 }
 
 // retainTraceLocked pushes a terminal job's trace into the retention ring,
@@ -982,9 +991,10 @@ func (s *Scheduler) WaitSettled() {
 	}
 }
 
-// Stop shuts the fleet down: parked jobs fail, device pools drain their
-// in-flight work and stop, and every monitor goroutine exits. Stop is
-// idempotent.
+// Stop shuts the fleet down: device pools finish their in-flight work and
+// stop, every job that never started executing fails, and every monitor
+// goroutine exits. Those failures settle in memory only (abortLocked), so
+// with a store attached the next start re-queues them. Stop is idempotent.
 func (s *Scheduler) Stop() {
 	s.mu.Lock()
 	if s.closed {
@@ -998,12 +1008,12 @@ func (s *Scheduler) Stop() {
 	}
 	for id, j := range s.parked {
 		delete(s.parked, id)
-		s.finalizeLocked(j, JobFailed, nil, "fleet: scheduler stopped")
+		s.abortLocked(j, "fleet: scheduler stopped")
 	}
 	s.mu.Unlock()
 	for _, e := range entries {
-		// Interrupt queued jobs (monitors finalize them as failed under the
-		// closed flag), then stop the pool, letting in-flight jobs finish.
+		// Interrupt queued jobs (monitors abort them under the closed flag),
+		// then stop the pool, letting in-flight jobs finish.
 		e.mgr.SetOnline(false)
 		e.mgr.Stop()
 	}

@@ -422,6 +422,29 @@ func TestMaintenanceWindowDrainsAndRestores(t *testing.T) {
 	if st, _ := s.StateOf("a"); st != DeviceFailed {
 		t.Fatalf("AdvanceTo overrode a manual failure state: %s", st)
 	}
+
+	// A fleet of one has no sibling: work submitted during the window
+	// parks, then runs when the window closes.
+	solo := New(PolicyBestFidelity, nil)
+	defer solo.Stop()
+	if err := solo.AddDevice("c", mkdev(t, "c", 2, 2, 3, 0), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := solo.SetMaintenancePlan("c", plan); err != nil {
+		t.Fatal(err)
+	}
+	solo.AdvanceTo(100.5)
+	id, err = solo.Submit(req(2, 5), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _ := solo.Job(id); j.Status != JobPending {
+		t.Fatalf("fleet of one in its window: job is %s, want parked (pending)", j.Status)
+	}
+	solo.AdvanceTo(101.5)
+	if j, err := solo.Wait(id); err != nil || j.Status != JobDone || j.Device != "c" {
+		t.Fatalf("parked job after the window: %+v %v, want done on c", j, err)
+	}
 }
 
 func TestCancelParkedAndQueued(t *testing.T) {

@@ -338,8 +338,6 @@ func v2FromQRM(j *qrm.Job, device string, withRequest bool) *Job {
 		DurationUs:    j.DurationUs,
 		SubmitTime:    j.SubmitTime,
 		EndTime:       j.EndTime,
-		Recovered:     j.Recovered,
-		Node:          j.Node,
 	}
 	if j.Status == qrm.StatusFailed || j.Status == qrm.StatusInterrupted {
 		out.Error = jobErrorEnvelope(j.Status, j.Error)

@@ -2,7 +2,6 @@ package mqss
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -171,56 +170,50 @@ func TestAdminStoreEndpoint(t *testing.T) {
 	}
 }
 
-// singleDurableStack builds a single-device server over a manager backed by
-// a crash-durable store in dir, restoring whatever a previous incarnation
-// left there: the wiring qhpcd uses for -data-dir at -devices 1.
-func singleDurableStack(t *testing.T, dir string) (*qrm.Manager, *Server, *httptest.Server, *durable.Store, qrm.RestoreStats) {
+// soloDurableStack builds the daemon's -devices 1 shape over a
+// crash-durable store in dir: a fleet of one behind the fleet server,
+// restoring whatever a previous incarnation left there.
+func soloDurableStack(t *testing.T, dir string) (*fleet.Scheduler, *Server, *httptest.Server, *durable.Store, fleet.RestoreStats) {
 	t.Helper()
 	st, opened, err := durable.Open(dir, durable.Options{Sync: durable.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := twinDev(t, "solo", 4, 5, 7)
-	m := qrm.NewManager(dev)
-	m.AttachStore(st)
-	rs, err := m.Restore(opened.QRMJobs)
+	f := fleet.New(fleet.PolicyBestFidelity, nil)
+	if err := f.AddDevice("solo", twinDev(t, "solo", 4, 5, 7), 2); err != nil {
+		t.Fatal(err)
+	}
+	f.AttachStore(st)
+	rs, err := f.Restore(opened.FleetJobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.NoteRestore(rs.Terminal, rs.Requeued, rs.Expired)
-	if err := m.Start(2); err != nil {
-		t.Fatal(err)
-	}
-	server := NewServer(m, dev)
+	server := NewFleetServer(f)
 	server.AttachStore(st, opened.Idem)
-	return m, server, httptest.NewServer(server), st, rs
+	return f, server, httptest.NewServer(server), st, rs
 }
 
-// v1History fetches the full single-device job history over GET
-// /api/v1/jobs (newest first).
+// v1History fetches the full job history over GET /api/v1/jobs (newest
+// first), flattened to the legacy record by the remote client.
 func v1History(t *testing.T, hs *httptest.Server) []*qrm.Job {
 	t.Helper()
-	resp, err := http.Get(hs.URL + "/api/v1/jobs?limit=100")
+	page, err := NewRemoteClient(hs.URL, nil).History(context.Background(), "", 0, 100)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var page qrm.Page
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		t.Fatal(err)
 	}
 	return page.Jobs
 }
 
-// TestSingleDeviceJobsSurviveRestart covers, over HTTP, the only way a
-// single-device job survives a restart: jobs submitted through v1 and v2
-// are journaled, the node is killed, and the rebooted manager restores
-// them from the WAL. The v1 history must list the same IDs in the same
+// TestSingleDeviceJobsSurviveRestart covers, over HTTP, a -data-dir
+// restart of the daemon at -devices 1: jobs submitted through v1 and v2
+// are journaled, the node is killed, and the rebooted fleet of one
+// restores them from the WAL. The v1 history must list the same IDs in the same
 // order with their terminal results, and each v2 record must be marked
 // recovered.
 func TestSingleDeviceJobsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	m1, server1, hs1, st1, _ := singleDurableStack(t, dir)
+	f1, server1, hs1, st1, _ := soloDurableStack(t, dir)
 	for i := 0; i < 3; i++ {
 		resp := postV2(t, hs1, "/api/v1/jobs", qrm.Request{Circuit: circuit.GHZ(3), Shots: 20, User: "v1"}, nil)
 		if resp.StatusCode != http.StatusCreated {
@@ -243,10 +236,10 @@ func TestSingleDeviceJobsSurviveRestart(t *testing.T) {
 	st1.Abandon()
 	server1.Close()
 	hs1.Close()
-	m1.Stop()
+	f1.Stop()
 	st1.Close()
-	m2, server2, hs2, st2, rs := singleDurableStack(t, dir)
-	defer func() { server2.Close(); hs2.Close(); m2.Stop(); st2.Close() }()
+	f2, server2, hs2, st2, rs := soloDurableStack(t, dir)
+	defer func() { server2.Close(); hs2.Close(); f2.Stop(); st2.Close() }()
 	if rs.Terminal != 6 || rs.Requeued != 0 || rs.Expired != 0 {
 		t.Fatalf("restore stats %+v, want 6 terminal", rs)
 	}

@@ -29,7 +29,7 @@ const (
 )
 
 // tenantQueue is one tenant's slice of the dispatch queue plus its
-// lifetime accounting (kept after the queue drains; rebuilt by Restore).
+// lifetime accounting (kept after the queue drains).
 type tenantQueue struct {
 	user    string
 	q       jobQueue
